@@ -18,38 +18,35 @@ void RunExplore(const Options& opt, bool traced, Report* r) {
   r->Meta("delta", std::to_string(kDelta));
   r->Meta("durability", "off (no server)");
 
-  double column_s = 0;
-  MachineConstants machine;
-  const double setup_s = TimeSetup(
-      n, opt.seed, kSetupReps,
-      [](const Column& c, const MachineConstants& mc) {
-        for (const std::string& id : IndexIds()) {
-          MakeBenchIndex(id, c, mc, kDelta);
-        }
-      },
-      &column_s, &machine);
+  const MachineConstants& machine = PinnedMachineConstants();
+  SetupTimer setup(n, opt.seed, [](const Column& c, const MachineConstants& mc) {
+    for (const std::string& id : IndexIds()) {
+      MakeBenchIndex(id, c, mc, kDelta);
+    }
+  });
 
   const std::vector<RangeQuery> queries =
       RandomRanges(n, queries_per_index, opt.seed + 1);
   // Nothing is persisted, so recover_s is what a restart must rebuild:
   // the four indexes from scratch to convergence, which is converge_s.
   SessionSummary s =
-      RunSessions(n, opt.seed, queries, machine, kDelta, opt.seconds, traced);
+      RunSessions(n, opt.seed, queries, machine, kDelta, opt.seconds,
+                  /*first_probes=*/2, traced, &setup);
   const Column column = MakeColumn(n, opt.seed);
 
   const double rss = PeakRssMb();
   const PrefixOracle oracle(column);
   CheckSessions(s, queries, oracle, r);
   ReportSession(s, traced, r);
-  ReportCommon(r, setup_s, s.latency.PercentileUs(0.50),
-               s.latency.PercentileUs(0.99), s.latency, s.within_slo_per_s,
+  ReportCommon(r, setup.median_s(), s.p50_us, s.p99_us, s.latency,
+               s.within_slo_per_s,
                static_cast<double>(s.latency.count()) /
                    (s.session_s * static_cast<double>(s.reps)),
                s.converge_s, rss);
   r->headline = s.session_s;
   r->headline_lower_better = true;
   if (traced) {
-    r->Layer("storage.column_build_s", column_s, "s");
+    r->Layer("storage.column_build_s", setup.column_median_s(), "s");
     ReportKernels(column, r);
   }
 }

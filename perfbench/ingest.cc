@@ -30,12 +30,21 @@ using Clock = std::chrono::steady_clock;
 
 constexpr size_t kClients = 4;
 
+/// Serving slices per run; a set-up and session passes run between
+/// them.
+constexpr size_t kSlices = 9;
+
 /// Cold restarts timed per run; recover_s is their median.
-constexpr int kRestartReps = 7;
+constexpr int kRestartReps = 15;
 
 /// Delta share of the base that starts a merge: low enough that a run
 /// completes several merges (README.md).
 constexpr double kMergeThreshold = 0.001;
+
+/// Merges a measured run must complete; with fewer, the updates layer
+/// did not do the work the workload is there to measure, so the run
+/// fails its checks.
+constexpr size_t kMinMerges = 3;
 
 /// Forwards every call to the served UpdatableIndex and, on the
 /// scheduler thread — the only caller of Query/QueryBatch, and the
@@ -98,67 +107,83 @@ struct ClientLog {
   size_t rejected = 0;
 };
 
-/// One closed-loop client until `deadline`: 80% reads of 1% ranges,
-/// 10% appends of values in [0, n), 10% deletes of values it owns. A
-/// client owns the base values congruent to it mod kClients plus its
-/// own acknowledged appends, so no two clients ever delete the same
-/// occurrence and every delete targets a present value (a served
-/// delete of an absent value aborts the process; README.md). Read ranges
-/// start at distinct offsets (again congruent to the client), so each
-/// read can be found in the admitted log.
-ClientLog RunClient(serve::Server* server, const Column& column, size_t c,
-                    uint64_t seed, Clock::time_point deadline) {
-  ClientLog log;
-  const size_t n = column.size();
-  const size_t width = std::max<size_t>(1, n / 100);
-  std::vector<value_t> owned;
-  for (const value_t v : column.values()) {
-    if (static_cast<size_t>(v) % kClients == c) owned.push_back(v);
+/// One closed-loop client: 80% reads of 1% ranges, 10% appends of
+/// values in [0, n), 10% deletes of values it owns. A client owns the
+/// base values congruent to it mod kClients plus its own acknowledged
+/// appends, so no two clients ever delete the same occurrence and every
+/// delete targets a present value (a served delete of an absent value
+/// aborts the process; README.md). Read ranges start at distinct
+/// offsets (again congruent to the client), so each read can be found
+/// in the admitted log. Its state carries over from one serving slice
+/// to the next.
+class Client {
+ public:
+  Client(const Column& column, size_t c, uint64_t seed)
+      : n_(column.size()),
+        c_(c),
+        width_(std::max<size_t>(1, n_ / 100)),
+        starts_((n_ - width_ - c) / kClients + 1),
+        used_(starts_, false),
+        rng_(seed * 0x9e3779b97f4a7c15ull + c + 1) {
+    for (const value_t v : column.values()) {
+      if (static_cast<size_t>(v) % kClients == c) owned_.push_back(v);
+    }
   }
-  const size_t starts = (n - width - c) / kClients + 1;
-  std::vector<bool> used(starts, false);
-  Rng rng(seed * 0x9e3779b97f4a7c15ull + c + 1);
-  while (Clock::now() < deadline) {
-    const uint64_t roll = rng.NextBounded(10);
-    ServeRequest req;
-    size_t victim = 0;
-    if (roll == 0) {
-      req = ServeRequest::Append(static_cast<value_t>(rng.NextBounded(n)));
-    } else if (roll == 1 && !owned.empty()) {
-      victim = rng.NextBounded(owned.size());
-      req = ServeRequest::Delete(owned[victim]);
-    } else {
-      size_t k = rng.NextBounded(starts);
-      for (size_t tries = 0; used[k] && tries < starts; tries++) {
-        k = (k + 1) % starts;
+
+  /// Sends requests, each after the previous one's answer, until
+  /// `deadline`.
+  void Run(serve::Server* server, Clock::time_point deadline) {
+    while (Clock::now() < deadline) {
+      const uint64_t roll = rng_.NextBounded(10);
+      ServeRequest req;
+      size_t victim = 0;
+      if (roll == 0) {
+        req = ServeRequest::Append(static_cast<value_t>(rng_.NextBounded(n_)));
+      } else if (roll == 1 && !owned_.empty()) {
+        victim = rng_.NextBounded(owned_.size());
+        req = ServeRequest::Delete(owned_[victim]);
+      } else {
+        size_t k = rng_.NextBounded(starts_);
+        for (size_t tries = 0; used_[k] && tries < starts_; tries++) {
+          k = (k + 1) % starts_;
+        }
+        if (used_[k]) return;  // every distinct read issued
+        used_[k] = true;
+        const value_t low = static_cast<value_t>(c_ + kClients * k);
+        req = RangeQuery{low, low + static_cast<value_t>(width_) - 1};
       }
-      if (used[k]) break;  // every distinct read issued
-      used[k] = true;
-      const value_t low = static_cast<value_t>(c + kClients * k);
-      req = RangeQuery{low, low + static_cast<value_t>(width) - 1};
-    }
-    const Clock::time_point t0 = Clock::now();
-    const serve::Response resp = server->Submit(req);
-    log.latency_ns.push_back(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
-            .count()));
-    log.ops++;
-    if (req.is_query()) {
-      log.reads.emplace_back(req.query, resp.result);
-      continue;
-    }
-    log.updates++;
-    if (resp.rejected) {
-      log.rejected++;
-    } else if (req.op == OpKind::kAppend) {
-      owned.push_back(req.value);
-    } else {
-      owned[victim] = owned.back();
-      owned.pop_back();
+      const Clock::time_point t0 = Clock::now();
+      const serve::Response resp = server->Submit(req);
+      log_.latency_ns.push_back(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                               t0)
+              .count()));
+      log_.ops++;
+      if (req.is_query()) {
+        log_.reads.emplace_back(req.query, resp.result);
+        continue;
+      }
+      log_.updates++;
+      if (resp.rejected) {
+        log_.rejected++;
+      } else if (req.op == OpKind::kAppend) {
+        owned_.push_back(req.value);
+      } else {
+        owned_[victim] = owned_.back();
+        owned_.pop_back();
+      }
     }
   }
-  return log;
-}
+
+  const ClientLog& log() const { return log_; }
+
+ private:
+  size_t n_, c_, width_, starts_;
+  std::vector<value_t> owned_;
+  std::vector<bool> used_;
+  Rng rng_;
+  ClientLog log_;
+};
 
 /// A plain multiset over the value domain [0, n): the oracle the
 /// admitted log is replayed against.
@@ -217,34 +242,24 @@ void RunIngest(const Options& opt, bool traced, Report* r) {
                             " epochs");
   r->Meta("merge_threshold", std::to_string(kMergeThreshold));
 
-  double column_s = 0;
-  MachineConstants machine;
+  const MachineConstants& machine = PinnedMachineConstants();
   int setup_rep = 0;
-  const double setup_s = TimeSetup(
-      n, opt.seed, kSetupReps,
-      [&](const Column& c, const MachineConstants& mc) {
-        const std::string d = dir + "-setup" + std::to_string(setup_rep++);
-        MachineConstants pin = mc;
-        persist::PinOrLoadCalibration(d, &pin);
-        serve::RecoveryStats rs;
-        auto index = serve::RecoverIndex(d, c, Factory(c), &rs);
-        serve::ServerConfig cfg;
-        cfg.persist_dir = d;
-        serve::Server server(index.get(), c, cfg);
-      },
-      &column_s, &machine);
-  for (int i = 0; i < setup_rep; i++) {
-    std::filesystem::remove_all(dir + "-setup" + std::to_string(i));
-  }
+  SetupTimer setup(n, opt.seed, [&](const Column& c, const MachineConstants& mc) {
+    const std::string d = dir + "-setup" + std::to_string(setup_rep++);
+    MachineConstants pin = mc;
+    persist::PinOrLoadCalibration(d, &pin);
+    serve::RecoveryStats rs;
+    auto index = serve::RecoverIndex(d, c, Factory(c), &rs);
+    serve::ServerConfig cfg;
+    cfg.persist_dir = d;
+    serve::Server server(index.get(), c, cfg);
+  });
 
   const Column column = MakeColumn(n, opt.seed);
   const std::vector<RangeQuery> session_q =
       RandomRanges(n, session_queries, opt.seed + 1);
-  // A tenth of the measured time goes to the four-index session, the
-  // rest to the serving run.
-  const SessionSummary s =
-      RunSessions(n, opt.seed, session_q, machine, kDelta, opt.seconds / 10,
-                  traced);
+  SessionRunner sessions(n, opt.seed, session_q, machine, kDelta,
+                         /*first_probes=*/8);
 
   // The serving run.
   // The directory is pinned to the run's constants before the first
@@ -267,30 +282,65 @@ void RunIngest(const Options& opt, bool traced, Report* r) {
   const obs::LocalHistogram epoch0 = RegistryHistogram("serve.epoch_size");
   const obs::LocalHistogram wait0 = RegistryHistogram("serve.queue_wait_ns");
   const uint64_t pub0 = RegistryCounter("persist.published_bytes");
-  std::vector<ClientLog> logs(kClients);
+  std::vector<Client> clients;
+  for (size_t c = 0; c < kClients; c++) clients.emplace_back(column, c, opt.seed);
   std::vector<ServeRequest> admitted;
   std::vector<size_t> epoch_sizes;
   serve::ServeStats stats;
   double wall_s = 0;
+  // Each slice's per-op latency quantiles. Their medians go to the run
+  // metadata, not to p50_us/p99_us: a served op waits for a WAL fsync
+  // on the shared disk, and in the host's I/O spells, which lasted
+  // whole runs, they rose 1.5-1.8x (README.md).
+  std::vector<double> slice_p50_us, slice_p99_us;
   {
     serve::ServerConfig cfg;
     cfg.persist_dir = dir;
     serve::Server server(&probe, column, cfg);
-    const Clock::time_point start = Clock::now();
-    const Clock::time_point deadline =
-        start + std::chrono::nanoseconds(static_cast<int64_t>(opt.seconds * 0.9e9));
-    std::vector<std::thread> clients;
-    for (size_t c = 0; c < kClients; c++) {
-      clients.emplace_back([&, c] {
-        logs[c] = RunClient(&server, column, c, opt.seed, deadline);
-      });
+    // Serving in kSlices slices of 0.8 / kSlices of the measured time.
+    // Before each slice a set-up is timed; after it the clients pause,
+    // the server idles, and the four-index session runs passes for
+    // 0.1 / kSlices of it, so set-ups and session samples span the run;
+    // wall_s counts the slices only.
+    const auto slice = std::chrono::nanoseconds(static_cast<int64_t>(
+        opt.seconds * 0.8e9 / static_cast<double>(kSlices)));
+    const double session_s = opt.seconds * 0.1 / static_cast<double>(kSlices);
+    for (size_t i = 0; i < kSlices; i++) {
+      setup.Rep();
+      std::vector<size_t> mark;
+      for (const Client& client : clients) {
+        mark.push_back(client.log().latency_ns.size());
+      }
+      const Clock::time_point start = Clock::now();
+      std::vector<std::thread> threads;
+      for (Client& client : clients) {
+        threads.emplace_back(
+            [&server, &client, deadline = start + slice] {
+              client.Run(&server, deadline);
+            });
+      }
+      for (std::thread& t : threads) t.join();
+      wall_s += std::chrono::duration<double>(Clock::now() - start).count();
+      Latencies slice_latency;
+      for (size_t c = 0; c < kClients; c++) {
+        const std::vector<uint64_t>& ns = clients[c].log().latency_ns;
+        for (size_t j = mark[c]; j < ns.size(); j++) slice_latency.AddNs(ns[j]);
+      }
+      slice_p50_us.push_back(slice_latency.PercentileUs(0.50));
+      slice_p99_us.push_back(slice_latency.PercentileUs(0.99));
+      const Clock::time_point pause = Clock::now();
+      double pass_s = 0;
+      do {
+        pass_s = sessions.RunPass();
+      } while (std::chrono::duration<double>(Clock::now() - pause).count() +
+                   pass_s <=
+               session_s);
     }
-    for (std::thread& t : clients) t.join();
-    wall_s = std::chrono::duration<double>(Clock::now() - start).count();
     stats = server.stats();
     admitted = server.admitted_log();
     epoch_sizes = server.epoch_sizes();
   }
+  const SessionSummary s = sessions.Summarize(traced);
   const obs::LocalHistogram epoch_size =
       HistogramDelta(epoch0, RegistryHistogram("serve.epoch_size"));
   const obs::LocalHistogram queue_wait_ns =
@@ -315,6 +365,7 @@ void RunIngest(const Options& opt, bool traced, Report* r) {
   std::vector<QueryResult> first_answers;
   serve::RecoveryStats rec_stats;
   for (int i = 0; i < kRestartReps; i++) {
+    recovered.reset();  // not timed: tearing down the previous restart
     const Clock::time_point t0 = Clock::now();
     recovered = serve::RecoverIndex(dir, column, Factory(column), &rec_stats);
     first_answers.push_back(recovered->Query(session_q[0]));
@@ -326,12 +377,11 @@ void RunIngest(const Options& opt, bool traced, Report* r) {
   // unlocatable answer, a rejected update, or a delete of an absent
   // value in the log fails it.
   std::unordered_map<value_t, QueryResult> seen;
-  Latencies latency;
   size_t ops = 0, within_slo = 0;
-  for (const ClientLog& log : logs) {
+  for (const Client& client : clients) {
+    const ClientLog& log = client.log();
     for (const auto& [q, a] : log.reads) seen.emplace(q.low, a);
     for (const uint64_t ns : log.latency_ns) {
-      latency.AddNs(ns);
       if (static_cast<double>(ns) <= kSloUs * 1e3) within_slo++;
     }
     ops += log.ops;
@@ -368,20 +418,32 @@ void RunIngest(const Options& opt, bool traced, Report* r) {
     if (!(recovered->Query(q) == truth.Answer(q))) r->failed++;
   }
   if (rec_stats.log_queries != admitted.size()) r->failed++;
+  if (!opt.smoke) {
+    r->attempted++;
+    if (merges < kMinMerges) {
+      std::printf("ingest: FAIL %zu merges, fewer than %zu\n", merges,
+                  kMinMerges);
+      r->failed++;
+    }
+  }
   recovered.reset();
   index.reset();
   std::filesystem::remove_all(dir);
+  for (int i = 0; i < setup_rep; i++) {
+    std::filesystem::remove_all(dir + "-setup" + std::to_string(i));
+  }
 
   const PrefixOracle oracle(column);
   CheckSessions(s, session_q, oracle, r);
 
   const double ops_per_s = static_cast<double>(ops) / wall_s;
   ReportSession(s, traced, r);
-  ReportCommon(r, setup_s, latency.PercentileUs(0.50),
-               latency.PercentileUs(0.99), latency,
+  ReportCommon(r, setup.median_s(), s.p50_us, s.p99_us, s.latency,
                static_cast<double>(within_slo) / wall_s, ops_per_s,
                Median(recover_s), rss);
   r->Meta("merges", std::to_string(merges));
+  r->Meta("served_p50_p99_us", std::to_string(Median(slice_p50_us)) + " " +
+                                   std::to_string(Median(slice_p99_us)));
   r->Meta("checkpoints", std::to_string(stats.checkpoints));
   r->headline = ops_per_s;
   r->headline_lower_better = false;
@@ -393,9 +455,9 @@ void RunIngest(const Options& opt, bool traced, Report* r) {
               static_cast<unsigned long long>(rec_stats.log_queries));
   if (!traced) return;
   size_t updates = 0, rejected = 0;
-  for (const ClientLog& log : logs) {
-    updates += log.updates;
-    rejected += log.rejected;
+  for (const Client& client : clients) {
+    updates += client.log().updates;
+    rejected += client.log().rejected;
   }
   double stall_ns = 0;
   Latencies checkpoint, fsync;
@@ -415,7 +477,7 @@ void RunIngest(const Options& opt, bool traced, Report* r) {
               100 * stall_ns / (wall_s * 1e9));
   const double submitted =
       static_cast<double>(std::max<uint64_t>(1, stats.submitted));
-  r->Layer("storage.column_build_s", column_s, "s");
+  r->Layer("storage.column_build_s", setup.column_median_s(), "s");
   ReportKernels(column, r);
   r->Layer("serve.epoch_size_mean", epoch_size.Mean(), "count");
   r->Layer("serve.queue_wait_p99_us",

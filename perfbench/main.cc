@@ -171,6 +171,14 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
+  // Every workload runs its indexes at one lane (README.md, "Why one
+  // lane"): on the shared 4-vCPU host, parallel phases waited on
+  // whichever lane the host had descheduled, and in its contention
+  // spells explore's pq session ran up to 1.8x slower at 4 lanes,
+  // against 1.1-1.2x for the indexes that barely use them. The traced
+  // run measures the parallel layer at kParallelLanes.
+  parallel::SetLanesForTesting(1);
+
   Report plain;
   plain.Meta("git_sha", git_sha);
   plain.Meta("cpu", CpuModel());

@@ -25,13 +25,18 @@ namespace perfbench {
 /// The four progressive indexes, in the order every session runs them.
 const std::vector<std::string>& IndexIds();
 
-/// Latency limit behind slo_qps and the dashboard ladder.
+/// Every workload runs its indexes at one lane; the traced run adds a
+/// session pass at kParallelLanes for the parallel layer's metrics
+/// (README.md, "Why one lane").
+constexpr size_t kParallelLanes = 4;
+
+/// Latency limit behind slo_qps and the dashboard SLO check.
 constexpr double kSloUs = 10000;
 
 /// Indexes run under BudgetSpec::FixedDelta: a fixed share of the
 /// column per query, so work per query does not depend on timing
-/// (README.md, "Why fixed delta"). kDelta is the paper's δ, used by
-/// explore and ingest.
+/// (README.md, "Why δ and the machine constants are pinned"). kDelta
+/// is the paper's δ, used by explore and ingest.
 constexpr double kDelta = 0.05;
 
 struct Options {
@@ -107,25 +112,61 @@ class Latencies {
 
 // ---- Inputs --------------------------------------------------------------
 
-/// `count` closed ranges covering 1% of [0, n) each, uniformly placed.
+/// `count` closed ranges covering 1% of [0, n) each, uniformly placed
+/// (the Random pattern of workload/synthetic.h).
 std::vector<RangeQuery> RandomRanges(size_t n, size_t count, uint64_t seed);
 
-/// Median and mean of `v` (0 when empty).
+/// Median of `v` (0 when empty).
 double Median(std::vector<double> v);
-double Mean(const std::vector<double>& v);
+
+// ---- Set-up ------------------------------------------------------------
+
+/// The machine constants every index of the benchmark is priced by.
+/// Under a fixed δ they still set leaf sorts and phase-crossing
+/// remainders, so constants measured per process moved the work the
+/// same queries do: one calibration per process let explore converge
+/// after 2471 to 3647 queries for one seed, and dashboard's pq after
+/// about 400 or about 590 epochs. Pinned, the work each query does is a
+/// function of the seed alone, as δ is pinned for the same reason
+/// (README.md, "Why δ and the machine constants are pinned"). The values are medians of
+/// MeasureMachineConstants() on the 4-core AVX-512 Xeon of README.md.
+const MachineConstants& PinnedMachineConstants();
+
+/// Times set-ups: column generation + MeasureMachineConstants() +
+/// `construct` (which builds and drops the workload's objects over the
+/// column, from PinnedMachineConstants()). The calibration is timed
+/// because a user's set-up pays it; its result is not used (see
+/// PinnedMachineConstants). Workloads time one set-up before each
+/// session pass or serving slice, so that set-ups sample the whole run
+/// as the other metrics do; setup_s is their median.
+class SetupTimer {
+ public:
+  using Construct =
+      std::function<void(const Column&, const MachineConstants&)>;
+  SetupTimer(size_t n, uint64_t seed, Construct construct)
+      : n_(n), seed_(seed), construct_(std::move(construct)) {}
+  void Rep();
+  double median_s() const { return Median(total_); }
+  double column_median_s() const { return Median(column_); }
+
+ private:
+  size_t n_;
+  uint64_t seed_;
+  Construct construct_;
+  std::vector<double> total_, column_;
+};
 
 // ---- Exact answers -------------------------------------------------------
 
 /// Prefix-sum oracle over the sorted multiset of a column whose values
-/// lie in [0, 4n]; built by counting, outside any timed region.
+/// lie in [0, n), as every workload's column does; built by counting,
+/// outside any timed region.
 class PrefixOracle {
  public:
   explicit PrefixOracle(const Column& column);
-  bool ok() const { return ok_; }
   QueryResult Answer(const RangeQuery& q) const;
 
  private:
-  bool ok_ = false;
   std::vector<uint32_t> count_prefix_;  ///< [v] = values < v
   std::vector<int64_t> sum_prefix_;     ///< [v] = sum of values < v
 };
@@ -135,39 +176,104 @@ class PrefixOracle {
 /// Names of `id`'s phases, in the order of its Phase enum.
 const std::vector<std::string>& PhaseNames(const std::string& id);
 
-/// The four indexes over the workload's column and one query list,
-/// repeated while the time budget lasts (at least once). Each pass
-/// regenerates the column into fresh memory: where the column lands
-/// moves a session's time by up to ~40% on small columns, and one
-/// allocation per process would fix that draw for the whole run.
-/// Metrics are means over passes, which average those draws.
+/// What the four-index session measured over its passes (SessionRunner
+/// below). Metrics are medians over passes, so neither where one pass's
+/// column landed in memory nor one pass caught in a stall of the shared
+/// machine decides them.
 struct SessionSummary {
   size_t reps = 0;
   std::vector<double> cumulative_s;  ///< per index (IndexIds order)
   std::vector<double> construct_s;   ///< per index
-  std::vector<double> one_lane_s;    ///< traced: per index, at one lane
-  double first_query_ms = 0;   ///< mean over the indexes
+  std::vector<double> parallel_s;    ///< traced: per index, at kParallelLanes
+  /// Mean over the indexes of each one's median first-query time.
+  double first_query_ms = 0;
   double converge_s = 0;       ///< summed over the indexes
   std::vector<double> converge_each_s;  ///< per index
   double converge_queries = 0;
   double session_s = 0;        ///< sum of cumulative_s
   double within_slo_per_s = 0; ///< queries within kSloUs per session second
-  Latencies latency;
+  Latencies latency;  ///< every session query of every pass
+  /// Medians over passes of each pass's quantiles of `latency`, so that
+  /// a pass caught in a stall of the shared machine cannot move them.
+  double p50_us = 0, p99_us = 0;
   /// Mean per repetition, [index][phase].
   std::vector<std::vector<double>> phase_s;
   std::vector<std::vector<double>> phase_queries;
-  uint64_t pool_tasks = 0;  ///< obs pool.* deltas, per repetition
+  uint64_t pool_tasks = 0;  ///< traced: obs pool.* deltas of that pass
   uint64_t pool_steals = 0;
-  /// Every answer given, for checking after the timed region.
+  /// Every answer given, for checking after the timed region: whole
+  /// sessions, and the first-query probes (all answering queries[0]).
   std::vector<std::vector<QueryResult>> answers;
+  std::vector<QueryResult> first_probe_answers;
 };
 
-/// `traced` adds one more pass of each index pinned to one lane
-/// (parallel::SetLanesForTesting) for parallel.lane_speedup.*.
+/// Runs passes of the four-index session. A pass regenerates the
+/// column into fresh memory, builds the four indexes over it and sends
+/// each query to all four in turn, so every index's session time spans
+/// the whole pass: the shared machine's speed swings by ±15% over
+/// seconds, and indexes run one after the other were each timed in a
+/// window of their own. Each pass also builds `first_probes` more fresh
+/// indexes of each kind, spread over the pass, and times only their
+/// first query: one first query per index and pass is too few samples
+/// for a steady first_query_ms. Dashboard and ingest run single passes
+/// between their serving runs, so the session's samples span the run.
+class SessionRunner {
+ public:
+  SessionRunner(size_t n, uint64_t seed, const std::vector<RangeQuery>& queries,
+                const MachineConstants& machine, double delta,
+                size_t first_probes);
+  /// One pass; returns its wall time in seconds.
+  double RunPass();
+  /// Medians over the passes run. `traced` adds one more pass at
+  /// kParallelLanes lanes (parallel::SetLanesForTesting) for
+  /// parallel.lane_speedup.* and parallel.pool_*.
+  SessionSummary Summarize(bool traced);
+
+ private:
+  /// One index's session in one pass: every IndexBase::Query call timed
+  /// and attributed to the index's phase() before the call.
+  struct IndexPass {
+    double construct_s = 0;
+    double cumulative_s = 0;
+    double converge_s = 0;
+    size_t converge_queries = 0;
+    bool converged = false;
+    size_t within_slo = 0;  ///< queries answered within kSloUs
+    std::vector<double> phase_s;  ///< by phase, PhaseNames order
+    std::vector<size_t> phase_queries;
+    std::vector<QueryResult> answers;
+  };
+  struct Pass {
+    std::vector<IndexPass> results;            ///< per index
+    std::vector<std::vector<double>> first_s;  ///< per index: first queries
+    std::vector<QueryResult> probe_answers;
+  };
+  /// Every pass's samples of one index.
+  struct PerIndex {
+    std::vector<double> cumulative, construct, first, conv_s, conv_q;
+  };
+  Pass Interleaved(Latencies* latency);
+
+  size_t n_;
+  uint64_t seed_;
+  std::vector<RangeQuery> queries_;
+  const MachineConstants& machine_;
+  double delta_;
+  size_t first_probes_;
+  std::vector<PerIndex> acc_;
+  std::vector<double> pass_p50_us_, pass_p99_us_;
+  SessionSummary summary_;
+  size_t within_slo_ = 0;
+  double within_slo_secs_ = 0;
+};
+
+/// Session passes while `budget_s` lasts (at least one), each after
+/// one `setup` rep, summarized.
 SessionSummary RunSessions(size_t n, uint64_t seed,
                            const std::vector<RangeQuery>& queries,
                            const MachineConstants& machine, double delta,
-                           double budget_s, bool traced);
+                           double budget_s, size_t first_probes, bool traced,
+                           SetupTimer* setup);
 
 /// Counts the session's answers into r->attempted / r->failed.
 void CheckSessions(const SessionSummary& s,
@@ -180,22 +286,6 @@ void CheckSessions(const SessionSummary& s,
 void ReportSession(const SessionSummary& s, bool traced, Report* r);
 
 // ---- Probes of what the program already emits ---------------------------
-
-/// Set-ups timed per run; setup_s is their median.
-constexpr int kSetupReps = 5;
-
-/// Times `reps` runs of column generation + MeasureMachineConstants() +
-/// `construct` (which builds and drops the workload's objects over the
-/// column, from the freshly measured constants); returns the median
-/// total and, via `column_s`, the median column generation time. Each
-/// field of `*machine` is the median of that field over the `reps`
-/// calibrations: the run builds every index from these, so that one
-/// noisy calibration does not change the work its queries do
-/// (README.md, "Why fixed delta").
-double TimeSetup(
-    size_t n, uint64_t seed, int reps,
-    const std::function<void(const Column&, const MachineConstants&)>& construct,
-    double* column_s, MachineConstants* machine);
 
 /// `id` over `column` under FixedDelta(delta), priced by `machine`
 /// (which must outlive the index).
